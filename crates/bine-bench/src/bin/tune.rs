@@ -24,7 +24,11 @@ use std::time::Instant;
 use bine_bench::runner::{tune_target, tuned_collectives, MAX_TUNED_NODES};
 use bine_bench::systems::System;
 use bine_sched::Collective;
-use bine_tune::{slug, DecisionTable, Entry, Tuner, TunerConfig};
+use bine_tune::{slug, DecisionTable, DesCounts, Entry, Tuner, TunerConfig};
+
+/// One tuned (system × collective) item: system index, entries, worker
+/// seconds and the tuner's DES candidate counts.
+type ItemResult = (usize, Vec<Entry>, f64, DesCounts);
 
 fn main() {
     let mut out_dir: Option<PathBuf> = None;
@@ -99,7 +103,7 @@ fn main() {
         }
     }
     let queue = Mutex::new(items);
-    let results: Mutex<Vec<(usize, Vec<Entry>, f64)>> = Mutex::new(Vec::new());
+    let results: Mutex<Vec<ItemResult>> = Mutex::new(Vec::new());
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     std::thread::scope(|scope| {
         for _ in 0..workers.min(tuned * tuned_collectives().len()) {
@@ -111,16 +115,25 @@ fn main() {
                 let mut tuner = Tuner::new(target, TunerConfig::default());
                 let table = tuner.tune();
                 let secs = start.elapsed().as_secs_f64();
-                results.lock().unwrap().push((idx, table.entries, secs));
+                let counts = tuner.des_counts();
+                results
+                    .lock()
+                    .unwrap()
+                    .push((idx, table.entries, secs, counts));
             });
         }
     });
-    let mut merged: Vec<(Vec<Entry>, f64)> = systems.iter().map(|_| (Vec::new(), 0.0)).collect();
-    for (idx, entries, secs) in results.into_inner().unwrap() {
-        merged[idx].0.extend(entries);
-        merged[idx].1 += secs;
+    let mut merged: Vec<(Vec<Entry>, f64, DesCounts)> = systems
+        .iter()
+        .map(|_| (Vec::new(), 0.0, DesCounts::default()))
+        .collect();
+    for (idx, entries, secs, counts) in results.into_inner().unwrap() {
+        let (all, total_secs, total) = &mut merged[idx];
+        all.extend(entries);
+        *total_secs += secs;
+        *total += counts;
     }
-    for (system, (entries, secs)) in systems.iter().zip(merged) {
+    for (system, (entries, secs, counts)) in systems.iter().zip(merged) {
         let mut table = DecisionTable {
             system: system.name.to_string(),
             entries,
@@ -135,9 +148,13 @@ fn main() {
             .filter(|e| e.model == bine_tune::ScoreModel::Des)
             .count();
         println!(
-            "{:<14} {:>4} grid points ({des} DES-refined) in {secs:>6.1}s of worker time -> {}",
+            "{:<14} {:>4} grid points ({des} DES-refined) in {secs:>6.1}s of worker time; \
+             DES candidates: {} simulated, {} cut off, {} skipped by bound -> {}",
             system.name,
             table.entries.len(),
+            counts.simulated,
+            counts.cut,
+            counts.skipped,
             path.display()
         );
     }

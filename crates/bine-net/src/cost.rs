@@ -339,31 +339,28 @@ impl CostModel {
     }
 }
 
-/// Cheap candidate lower bounds for autotuning sweeps.
+/// Cheap candidate lower bounds for the synchronous stage of autotuning
+/// sweeps.
 ///
-/// The tuner in `bine-tune` scores hundreds of (algorithm, segments)
-/// candidates per grid point; most of them lose badly, and proving that they
-/// lose is much cheaper than scoring them. `LowerBounds` precomputes the two
-/// extremal link properties of a topology once and then answers, in O(1),
-/// "what is the least this candidate could possibly cost?" from two closed
-/// forms the catalog provides without building the schedule
-/// (`bine_sched::catalog::AlgorithmId::{min_steps, min_rank_bytes}`):
+/// The tuner in `bine-tune` scores every catalog algorithm per grid point;
+/// most of them lose badly, and proving that they lose is much cheaper than
+/// scoring them. `LowerBounds` precomputes the two extremal link properties
+/// of a topology once and then answers, in O(1), "what is the least this
+/// candidate could possibly cost under the synchronous model?"
+/// ([`LowerBounds::sync_time_us`]) from two closed forms the catalog
+/// provides without building the schedule
+/// (`bine_sched::catalog::AlgorithmId::{min_steps, min_rank_bytes}`): every
+/// nonempty network step costs at least `alpha + min link latency`, and the
+/// total serialisation time is at least the busiest rank's sent bytes over
+/// the fastest link — both true for any step-synchronous schedule whose
+/// ranks occupy distinct nodes.
 ///
-/// * **synchronous model** ([`LowerBounds::sync_time_us`]): every nonempty
-///   network step costs at least `alpha + min link latency`, and the total
-///   serialisation time is at least the busiest rank's sent bytes over the
-///   fastest link — both true for any step-synchronous schedule whose ranks
-///   occupy distinct nodes.
-/// * **discrete-event model** ([`LowerBounds::des_time_us`]): barriers are
-///   gone, so only one message latency is guaranteed, but the single send
-///   port still serialises the busiest rank's bytes at no more than the
-///   fastest link's rate.
-///
-/// A candidate whose lower bound already exceeds the incumbent best score
-/// can be skipped without ever building or costing its schedule, which is
-/// what keeps full decision-table regeneration inside a CI-friendly budget.
-/// Both bounds are *validated* (never above the true score) by the catalog
-/// metadata tests in `bine-sched` and the tuner proptests.
+/// A candidate whose lower bound already exceeds the incumbent can be
+/// skipped without ever building or costing its schedule. The bound is
+/// *validated* (never above the true score) by the catalog metadata tests
+/// in `bine-sched` and the tuner proptests. The discrete-event stage uses
+/// the much tighter schedule-resolved bound of
+/// [`crate::sim::SimRequest::lower_bound_us`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct LowerBounds {
     /// Per-message software overhead (from the [`CostModel`]).
@@ -389,15 +386,6 @@ impl LowerBounds {
     /// `max_rank_bytes` bytes (ranks on distinct nodes).
     pub fn sync_time_us(&self, steps: u64, max_rank_bytes: u64) -> f64 {
         steps as f64 * (self.alpha_us + self.min_link_latency_us)
-            + max_rank_bytes as f64 / self.max_link_bytes_per_us
-    }
-
-    /// Lower-bounds the discrete-event makespan of the same schedule: one
-    /// guaranteed message latency (dependency chains are not assumed) plus
-    /// the busiest send port's serialisation time.
-    pub fn des_time_us(&self, max_rank_bytes: u64) -> f64 {
-        self.alpha_us
-            + self.min_link_latency_us
             + max_rank_bytes as f64 / self.max_link_bytes_per_us
     }
 }

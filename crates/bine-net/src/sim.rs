@@ -41,7 +41,8 @@
 //! Every way to run the simulator goes through the [`SimRequest`] builder:
 //! `SimRequest::new(model, schedule, n, topo, alloc)` plus any of
 //! `.faults(&plan)`, `.probe(&mut probe)`, `.arena(&mut arena)`,
-//! `.time_only()` and `.reference()`. The older `simulate*`/`sim_time*`
+//! `.time_only()`, `.cutoff(t)` and `.reference()`, then `.run()` (or
+//! `.lower_bound_us()`). The older `simulate*`/`sim_time*`
 //! names survive as `#[deprecated]` one-line wrappers over the builder and
 //! are pinned bit-identical to it by a proptest.
 //!
@@ -78,6 +79,28 @@
 //!   (schedule, topology, allocation, cost model), not on the vector size,
 //!   and are cached in the arena keyed by [`CompiledSchedule::identity`].
 //!   A sweep over vector sizes re-resolves only the per-send byte counts.
+//!
+//! ## Bounding and cutting off runs
+//!
+//! A sweep that only wants the *fastest* of many candidates need not finish
+//! every losing simulation. Two exact tools serve it:
+//!
+//! * [`SimRequest::lower_bound_us`] — a true lower bound on the optimized
+//!   makespan, computed in one pass over the cached static resolution (no
+//!   event loop). It is the larger of the **contention-free critical path**
+//!   (every flow alone at its route's minimum link capacity, with the same
+//!   FIFO send ports, read and write dependency chains, latencies and copy
+//!   and reduce times as the event loop) and the **busiest link's load**
+//!   over its capacity. Fair sharing can only slow a flow down, and a link
+//!   never carries more than its capacity, so neither term can exceed the
+//!   simulated makespan; both give up the event loop's 1e-9 merge
+//!   tolerance per flow, so that stays true bit for bit.
+//! * [`SimRequest::cutoff`] — stops the optimized event loop as soon as the
+//!   next event lies strictly beyond the cutoff and returns
+//!   [`SimOutcome::Exceeded`]. Every event time the loop reaches is at most
+//!   the makespan, so a run that stops there provably ends later than the
+//!   cutoff; a run whose makespan is at most the cutoff completes with the
+//!   same bits as an uncut run.
 //!
 //! ## Fault injection
 //!
@@ -532,7 +555,7 @@ fn simulate_reference_impl(
             // waits (transitively) on a dropped write. Diagnosed below.
             break;
         }
-        let tol = 1e-9 * (1.0 + t_next.abs());
+        let tol = merge_tol(t_next.abs());
         let dt = t_next - t;
 
         // Flows whose predicted completion falls on t_next finish; the rest
@@ -1044,6 +1067,7 @@ struct Scratch {
 pub struct SimArena {
     cache: HashMap<u64, CachedStatic>,
     scratch: Scratch,
+    bound: BoundScratch,
 }
 
 impl SimArena {
@@ -1065,6 +1089,151 @@ impl SimArena {
     }
 }
 
+/// Relative tolerance within which the event loop merges event times.
+const MERGE_TOL: f64 = 1e-9;
+
+/// The event loop's merge tolerance at simulated time `t`: a flow whose
+/// predicted completion lies within it of the next event finishes *at* that
+/// event, so up to this much earlier than its own completion time.
+#[inline]
+fn merge_tol(t: f64) -> f64 {
+    MERGE_TOL * (1.0 + t)
+}
+
+/// The earliest time the event loop can finish a flow predicted to complete
+/// at `c`: the smallest `t` with `c <= t + merge_tol(t)`.
+#[inline]
+fn earliest_finish(c: f64) -> f64 {
+    (c - MERGE_TOL) / (1.0 + MERGE_TOL)
+}
+
+/// Scratch of [`SimRequest::lower_bound_us`], kept in the [`SimArena`] so a
+/// warm bound allocates nothing.
+#[derive(Default)]
+struct BoundScratch {
+    /// Per rank: when its send port frees up on the critical path.
+    port_free: Vec<f64>,
+    /// Per send: the latest final time of the writes it reads.
+    ready: Vec<f64>,
+    /// Per send: the latest final time of its chained predecessor writes.
+    write_floor: Vec<f64>,
+    /// Per link: the bytes of every flow routed over it.
+    link_bytes: Vec<f64>,
+    /// Per link: how many flows are routed over it.
+    link_flows: Vec<u32>,
+}
+
+/// The lower bound of [`SimRequest::lower_bound_us`] over one resolved
+/// context (bytes already resolved for the requested vector size).
+///
+/// Sends are visited in global index order, which is step order: every read
+/// dependency, chained write and FIFO predecessor of a send has a smaller
+/// index, so one pass settles each send's earliest start before it is used.
+fn lower_bound(st: &CachedStatic, b: &mut BoundScratch, p: usize) -> f64 {
+    let num_links = st.link_cap.len();
+    b.port_free.clear();
+    b.port_free.resize(p, 0.0);
+    b.ready.clear();
+    b.ready.resize(st.num_sends, 0.0);
+    b.write_floor.clear();
+    b.write_floor.resize(st.num_sends, 0.0);
+    b.link_bytes.clear();
+    b.link_bytes.resize(num_links, 0.0);
+    b.link_flows.clear();
+    b.link_flows.resize(num_links, 0);
+
+    let mut critical = 0.0f64;
+    for i in 0..st.num_sends {
+        let send = i as u32;
+        let src = st.src[i] as usize;
+        let bytes = st.bytes[i];
+        let start = b.port_free[src].max(b.ready[i]);
+        let written = if st.local[i] {
+            let done = start + bytes / st.copy_rates[src];
+            b.port_free[src] = done;
+            done
+        } else {
+            let links = st.links(send);
+            let delivered = if links.is_empty() {
+                let done = start + st.latency_us[i];
+                b.port_free[src] = done;
+                done
+            } else {
+                // Alone on its route the flow runs at the route's minimum
+                // capacity; fair sharing only ever assigns less.
+                let mut cap = f64::INFINITY;
+                for &l in links {
+                    let l = l as usize;
+                    cap = cap.min(st.link_cap[l]);
+                    b.link_bytes[l] += bytes;
+                    b.link_flows[l] += 1;
+                }
+                let serialised = earliest_finish(start + bytes / cap).max(start);
+                b.port_free[src] = serialised;
+                serialised + st.latency_us[i]
+            };
+            if st.reduce[i] {
+                let d = st.dst[i] as usize;
+                delivered + bytes / st.reduce_rates[d]
+            } else {
+                delivered
+            }
+        };
+        let fin = written.max(b.write_floor[i]);
+        critical = critical.max(fin);
+        for &d in st.read_dependents(send) {
+            b.ready[d as usize] = b.ready[d as usize].max(fin);
+        }
+        for &d in st.write_dependents(send) {
+            b.write_floor[d as usize] = b.write_floor[d as usize].max(fin);
+        }
+    }
+
+    // A link serialises its load at no more than its capacity. Each of its
+    // `k` flows may finish up to one merge tolerance early, so the makespan
+    // `m` satisfies `m >= busy - k * merge_tol(m)`.
+    let mut load = 0.0f64;
+    for l in 0..num_links {
+        let k = b.link_flows[l];
+        if k > 0 {
+            let busy = b.link_bytes[l] / st.link_cap[l];
+            let slack = f64::from(k) * MERGE_TOL;
+            load = load.max((busy - slack) / (1.0 + slack));
+        }
+    }
+    critical.max(load)
+}
+
+/// The cached static resolution of one context, (re)built when missing or
+/// stale, with its byte column resolved for vector size `n`.
+fn resolve<'c>(
+    cache: &'c mut HashMap<u64, CachedStatic>,
+    model: &CostModel,
+    schedule: &CompiledSchedule,
+    n: u64,
+    topo: &dyn Topology,
+    alloc: &Allocation,
+    plan: &FaultPlan,
+) -> &'c CachedStatic {
+    let p = schedule.num_ranks;
+    assert!(
+        alloc.num_ranks() >= p,
+        "allocation has {} ranks, schedule needs {p}",
+        alloc.num_ranks()
+    );
+    let key = schedule.identity();
+    let rebuild = match cache.get(&key) {
+        Some(entry) => !entry.matches(model, topo, alloc, plan),
+        None => true,
+    };
+    if rebuild {
+        cache.insert(key, build_static(model, schedule, topo, alloc, plan));
+    }
+    let entry = cache.get_mut(&key).expect("just ensured");
+    entry.ensure_bytes(schedule, n);
+    entry
+}
+
 // ---------------------------------------------------------------------------
 // The consolidated entry point
 // ---------------------------------------------------------------------------
@@ -1083,6 +1252,8 @@ impl SimArena {
 ///   runs allocate nothing after warmup;
 /// * [`SimRequest::time_only`] — skip building the [`SimReport`] (the fully
 ///   allocation-free hot path for sweeps);
+/// * [`SimRequest::cutoff`] — give up as soon as the makespan provably
+///   exceeds a time ([`SimOutcome::Exceeded`]);
 /// * [`SimRequest::reference`] — run the executable-specification reference
 ///   implementation instead of the optimized fast path.
 ///
@@ -1127,6 +1298,7 @@ pub struct SimRequest<'a> {
     probe: Option<RateProbe<'a>>,
     arena: Option<&'a mut SimArena>,
     time_only: bool,
+    cutoff: f64,
     reference: bool,
 }
 
@@ -1169,6 +1341,13 @@ pub enum SimOutcome {
     /// The simulation went quiescent with writes outstanding — only
     /// possible under a crash plan.
     Stalled(Box<StallReport>),
+    /// The makespan is strictly greater than the request's
+    /// [`SimRequest::cutoff`]; the run stopped without computing it.
+    Exceeded {
+        /// A simulated time the run reached beyond the cutoff: a lower
+        /// bound on the makespan.
+        at_us: f64,
+    },
 }
 
 impl SimOutcome {
@@ -1192,14 +1371,18 @@ impl SimOutcome {
                 stall.dead_ranks.len(),
                 stall.diagnosis.undeliverable.len(),
             ),
+            SimOutcome::Exceeded { at_us } => {
+                panic!("simulation passed its cutoff at {at_us:.3} us: no makespan")
+            }
         }
     }
 
-    /// The makespan, or `None` when the simulation stalled.
+    /// The makespan, or `None` when the simulation stalled or passed its
+    /// cutoff.
     pub fn try_makespan(&self) -> Option<f64> {
         match self {
             SimOutcome::Completed { makespan_us, .. } => Some(*makespan_us),
-            SimOutcome::Stalled(_) => None,
+            SimOutcome::Stalled(_) | SimOutcome::Exceeded { .. } => None,
         }
     }
 
@@ -1211,8 +1394,8 @@ impl SimOutcome {
     /// The stall diagnosis, when the simulation stalled.
     pub fn stall(&self) -> Option<&StallReport> {
         match self {
-            SimOutcome::Completed { .. } => None,
             SimOutcome::Stalled(stall) => Some(stall),
+            SimOutcome::Completed { .. } | SimOutcome::Exceeded { .. } => None,
         }
     }
 
@@ -1221,7 +1404,7 @@ impl SimOutcome {
     /// # Panics
     /// Panics when the request was built with [`SimRequest::time_only`] — a
     /// time-only run never constructs a report — or when the simulation
-    /// stalled (see [`SimOutcome::makespan_us`]).
+    /// stalled or passed its cutoff (see [`SimOutcome::makespan_us`]).
     pub fn into_report(self) -> SimReport {
         match self {
             SimOutcome::Completed { report, .. } => {
@@ -1231,6 +1414,9 @@ impl SimOutcome {
                 "simulation stalled at {:.3} us with {} of {} writes completed: no report",
                 stall.time_us, stall.completed_writes, stall.total_writes,
             ),
+            SimOutcome::Exceeded { at_us } => {
+                panic!("simulation passed its cutoff at {at_us:.3} us: no report")
+            }
         }
     }
 }
@@ -1281,6 +1467,7 @@ impl<'a> SimRequest<'a> {
             probe: None,
             arena: None,
             time_only: false,
+            cutoff: f64::INFINITY,
             reference: false,
         }
     }
@@ -1314,12 +1501,59 @@ impl<'a> SimRequest<'a> {
         self
     }
 
+    /// Stops the run once its makespan provably exceeds `cutoff_us` and
+    /// returns [`SimOutcome::Exceeded`] instead. The optimized path stops
+    /// when its next event lies strictly beyond the cutoff; a run whose
+    /// makespan is at most `cutoff_us` completes with the same bits as an
+    /// uncut run. The reference runs to completion and applies the cutoff
+    /// to its makespan, so both paths agree on every outcome. Under a crash
+    /// plan a run may be reported `Exceeded` before it would have stalled.
+    pub fn cutoff(mut self, cutoff_us: f64) -> SimRequest<'a> {
+        self.cutoff = cutoff_us;
+        self
+    }
+
     /// Runs the reference implementation (the executable specification the
     /// optimized path is pinned bit-identical against) instead of the fast
     /// path.
     pub fn reference(mut self) -> SimRequest<'a> {
         self.reference = true;
         self
+    }
+
+    /// A lower bound on the makespan [`SimRequest::run`] would report,
+    /// without running the event loop (see the module docs). Computed from
+    /// the arena's cached static resolution, so with a warm
+    /// [`SimRequest::arena`] it allocates nothing. The fault plan's
+    /// capacities, latencies and slowdowns enter the bound; crash faults do
+    /// not (a stalled run has no makespan to bound). The probe, cutoff,
+    /// `time_only` and `reference` settings do not change it.
+    ///
+    /// # Panics
+    /// Panics if the allocation has fewer ranks than the schedule.
+    pub fn lower_bound_us(self) -> f64 {
+        let SimRequest {
+            model,
+            schedule,
+            n,
+            topo,
+            alloc,
+            faults,
+            arena,
+            ..
+        } = self;
+        let mut fresh;
+        let arena = match arena {
+            Some(arena) => arena,
+            None => {
+                fresh = SimArena::new();
+                &mut fresh
+            }
+        };
+        let zero_plan = FaultPlan::none();
+        let plan = faults.unwrap_or(&zero_plan);
+        let st = resolve(&mut arena.cache, model, schedule, n, topo, alloc, plan);
+        lower_bound(st, &mut arena.bound, schedule.num_ranks)
     }
 
     /// Runs the request. See the module docs for the simulation semantics.
@@ -1343,10 +1577,14 @@ impl<'a> SimRequest<'a> {
             probe,
             arena,
             time_only,
+            cutoff,
             reference,
         } = self;
         if reference {
             return match simulate_reference_impl(model, schedule, n, topo, alloc, faults, probe) {
+                Ok(report) if report.makespan_us > cutoff => SimOutcome::Exceeded {
+                    at_us: report.makespan_us,
+                },
                 Ok(report) => SimOutcome::Completed {
                     makespan_us: report.makespan_us,
                     report: (!time_only).then_some(report),
@@ -1362,12 +1600,14 @@ impl<'a> SimRequest<'a> {
                 &mut fresh
             }
         };
-        match run_optimized(arena, model, schedule, n, topo, alloc, faults, probe) {
-            Ok(makespan_us) => SimOutcome::Completed {
+        match run_optimized(
+            arena, model, schedule, n, topo, alloc, faults, probe, cutoff,
+        ) {
+            SimOutcome::Completed { makespan_us, .. } if !time_only => SimOutcome::Completed {
                 makespan_us,
-                report: (!time_only).then(|| report_from(&arena.scratch, makespan_us)),
+                report: Some(report_from(&arena.scratch, makespan_us)),
             },
-            Err(stall) => SimOutcome::Stalled(stall),
+            outcome => outcome,
         }
     }
 }
@@ -1795,30 +2035,12 @@ fn run_optimized(
     alloc: &Allocation,
     plan: Option<&FaultPlan>,
     mut probe: Option<RateProbe<'_>>,
-) -> Result<f64, Box<StallReport>> {
+    cutoff: f64,
+) -> SimOutcome {
     let p = schedule.num_ranks;
-    assert!(
-        alloc.num_ranks() >= p,
-        "allocation has {} ranks, schedule needs {p}",
-        alloc.num_ranks()
-    );
     let zero_plan = FaultPlan::none();
     let plan = plan.unwrap_or(&zero_plan);
-
-    // ---- Cache lookup / rebuild of the static resolution. ------------------
-    let key = schedule.identity();
-    let rebuild = match arena.cache.get(&key) {
-        Some(entry) => !entry.matches(model, topo, alloc, plan),
-        None => true,
-    };
-    if rebuild {
-        arena
-            .cache
-            .insert(key, build_static(model, schedule, topo, alloc, plan));
-    }
-    let entry = arena.cache.get_mut(&key).expect("just ensured");
-    entry.ensure_bytes(schedule, n);
-    let st: &CachedStatic = entry;
+    let st = resolve(&mut arena.cache, model, schedule, n, topo, alloc, plan);
 
     let num_sends = st.num_sends;
     let num_links = st.link_cap.len();
@@ -1969,7 +2191,11 @@ fn run_optimized(
             // waits (transitively) on a dropped write. Diagnosed below.
             break;
         }
-        let tol = 1e-9 * (1.0 + t_next.abs());
+        if t_next > cutoff {
+            // Every event time the loop reaches is at most the makespan.
+            return SimOutcome::Exceeded { at_us: t_next };
+        }
+        let tol = merge_tol(t_next.abs());
         let dt = t_next - t;
 
         // Flows whose predicted completion falls on t_next finish; the rest
@@ -2126,7 +2352,7 @@ fn run_optimized(
     }
 
     if !dropped.is_empty() {
-        return Err(stall_report(
+        return SimOutcome::Stalled(stall_report(
             schedule,
             plan,
             t,
@@ -2139,7 +2365,16 @@ fn run_optimized(
         completed == num_sends,
         "simulation deadlock: {completed} of {num_sends} writes completed"
     );
-    Ok(rank_finish.iter().copied().fold(0.0, f64::max))
+    let makespan_us = rank_finish.iter().copied().fold(0.0, f64::max);
+    // Draining events within the merge tolerance can carry the clock just
+    // past a cutoff the next-event check let through.
+    if makespan_us > cutoff {
+        return SimOutcome::Exceeded { at_us: makespan_us };
+    }
+    SimOutcome::Completed {
+        makespan_us,
+        report: None,
+    }
 }
 
 /// Convenience wrapper: segments `schedule` into `chunks` pipeline chunks

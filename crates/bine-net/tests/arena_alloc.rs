@@ -3,22 +3,38 @@
 //! once, repeating the simulation through a time-only, arena-backed
 //! [`bine_net::sim::SimRequest`] must touch the heap **zero** times — the
 //! whole point of the arena is that tuning sweeps running thousands of
-//! simulations stop being allocator-bound. Measured
-//! with a counting wrapper around the system allocator, the same pattern as
-//! `bine-tune/tests/alloc_free.rs` (tests are their own crates, so the
-//! library's `#![forbid(unsafe_code)]` still holds for `bine-net` itself).
+//! simulations stop being allocator-bound. The same holds for the two
+//! tools a branch-and-bound sweep adds per candidate: a warm
+//! `lower_bound_us()` and a run stopped by `cutoff`. Measured with a
+//! per-thread counting wrapper around the system allocator, the same
+//! pattern as `bine-tune/tests/alloc_free.rs` (tests are their own crates,
+//! so the library's `#![forbid(unsafe_code)]` still holds for `bine-net`
+//! itself).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
-use bine_net::sim::{SimArena, SimRequest};
+use bine_net::sim::{SimArena, SimOutcome, SimRequest};
 use bine_net::topology::FatTree;
 use bine_sched::collectives::{allreduce, AllreduceAlg};
 use bine_sched::CompiledSchedule;
 
 /// The warm-path spelling under test: a time-only, arena-backed request.
+fn request<'a>(
+    arena: &'a mut SimArena,
+    model: &'a CostModel,
+    compiled: &'a CompiledSchedule,
+    n: u64,
+    topo: &'a FatTree,
+    alloc: &'a Allocation,
+) -> SimRequest<'a> {
+    SimRequest::new(model, compiled, n, topo, alloc)
+        .arena(arena)
+        .time_only()
+}
+
 fn sim_time(
     arena: &mut SimArena,
     model: &CostModel,
@@ -27,14 +43,28 @@ fn sim_time(
     topo: &FatTree,
     alloc: &Allocation,
 ) -> f64 {
-    SimRequest::new(model, compiled, n, topo, alloc)
-        .arena(arena)
-        .time_only()
+    request(arena, model, compiled, n, topo, alloc)
         .run()
         .makespan_us()
 }
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps a
+    /// test from being charged for whatever the harness runs beside it on
+    /// other threads, without making the zero-allocation pins any looser.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_one() {
+    // `try_with`: the allocator may run while a thread's locals are being
+    // torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
@@ -42,7 +72,7 @@ struct Counting;
 // side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -51,7 +81,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -75,13 +105,13 @@ fn repeated_simulations_are_allocation_free_after_warmup() {
     let warm = sim_time(&mut arena, &model, &compiled, 1 << 20, &topo, &alloc);
     assert!(warm > 0.0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut identical = 0usize;
     for _ in 0..10 {
         let t = sim_time(&mut arena, &model, &compiled, 1 << 20, &topo, &alloc);
         identical += usize::from(t.to_bits() == warm.to_bits());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -107,15 +137,62 @@ fn vector_size_changes_allocate_at_most_transiently() {
     for &n in &sizes {
         sim_time(&mut arena, &model, &compiled, n, &topo, &alloc);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for &n in &sizes {
         sim_time(&mut arena, &model, &compiled, n, &topo, &alloc);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
         "size sweep allocated {} times after warmup",
         after - before
+    );
+}
+
+#[test]
+fn warm_bounds_and_cut_off_runs_are_allocation_free() {
+    let p = 32;
+    let model = CostModel::default();
+    let topo = FatTree::new(p, 4, 1);
+    let alloc = Allocation::block(p);
+    let compiled = allreduce(p, AllreduceAlg::BineLarge).segmented(4).compile();
+    let n = 1 << 20;
+
+    let mut arena = SimArena::new();
+    // Warmup: a full run, a bound and a cut-off run size every buffer.
+    let makespan = request(&mut arena, &model, &compiled, n, &topo, &alloc)
+        .run()
+        .makespan_us();
+    let bound = request(&mut arena, &model, &compiled, n, &topo, &alloc).lower_bound_us();
+    assert!(bound > 0.0 && bound <= makespan, "{bound} vs {makespan}");
+    let cutoff = makespan / 2.0;
+    assert!(matches!(
+        request(&mut arena, &model, &compiled, n, &topo, &alloc)
+            .cutoff(cutoff)
+            .run(),
+        SimOutcome::Exceeded { .. }
+    ));
+
+    let before = allocations();
+    let mut stable = 0usize;
+    for _ in 0..10 {
+        let b = request(&mut arena, &model, &compiled, n, &topo, &alloc).lower_bound_us();
+        let cut = request(&mut arena, &model, &compiled, n, &topo, &alloc)
+            .cutoff(cutoff)
+            .run();
+        stable += usize::from(b.to_bits() == bound.to_bits());
+        stable += usize::from(matches!(cut, SimOutcome::Exceeded { .. }));
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warm bounds and cut-off runs allocated {} times over 10 rounds",
+        after - before
+    );
+    assert_eq!(
+        stable, 20,
+        "bounds or cut-off outcomes drifted after warmup"
     );
 }

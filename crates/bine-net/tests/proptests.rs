@@ -46,6 +46,25 @@ fn any_vector_bytes() -> impl Strategy<Value = u64> {
     ])
 }
 
+/// Vector sizes for the bound and cutoff exactness pins: 32 B to 512 MiB.
+fn any_bound_bytes() -> impl Strategy<Value = u64> {
+    prop::sample::select(vec![
+        32u64,
+        1000,
+        4096,
+        65536,
+        1 << 20,
+        (8 << 20) + 17,
+        64 << 20,
+        512 << 20,
+    ])
+}
+
+/// The largest `f64` strictly below a positive `t`.
+fn just_below(t: f64) -> f64 {
+    f64::from_bits(t.to_bits() - 1)
+}
+
 fn pick_algorithm(collective: Collective, seed: usize) -> AlgorithmId {
     let algs = algorithms(collective);
     algs[seed % algs.len()].clone()
@@ -583,6 +602,90 @@ proptest! {
         prop_assert_eq!(base.max_link_bytes, piped.max_link_bytes, "{}", alg.name());
         prop_assert!(piped.messages >= base.messages, "{}", alg.name());
         prop_assert!(piped.global_messages >= base.global_messages, "{}", alg.name());
+    }
+
+    // Exactness of the tuner's branch-and-bound tools, healthy and under a
+    // seeded fault plan, on every topology class above: the
+    // schedule-resolved lower bound never exceeds the optimized makespan,
+    // and a cutoff returns the full makespan bit for bit whenever the
+    // makespan is at most the cutoff (equality included) and `Exceeded`
+    // otherwise.
+    #[test]
+    fn lower_bound_and_cutoff_are_exact(
+        collective in any_collective(),
+        s in 2u32..=5,
+        alg_seed in 0usize..100,
+        chunks in 1usize..=4,
+        root_seed in 0usize..1000,
+        fault_seed in 0u64..1000,
+        cutoff_pct in 50u32..150,
+        n in any_bound_bytes(),
+    ) {
+        use bine_net::sim::SimOutcome;
+        let p = 1usize << s;
+        let alg = pick_algorithm(collective, alg_seed);
+        let compiled = build(collective, alg.name(), p, root_seed % p)
+            .unwrap_or_else(|| panic!("{}", alg.name()))
+            .segmented(chunks)
+            .compile();
+        let model = CostModel::default();
+        let alloc = Allocation::block(p);
+        let mut arena = SimArena::new();
+        for topo in [
+            Box::new(IdealFullMesh::new(p)) as Box<dyn Topology>,
+            Box::new(Torus::new(torus_dims(p))),
+            Box::new(FatTree::new(p, 4, 1)),
+            Box::new(Dragonfly::lumi()),
+        ] {
+            let healthy = FaultPlan::none();
+            let faulted = FaultSpec::moderate(fault_seed).plan(topo.num_links(), p);
+            for plan in [&healthy, &faulted] {
+                let makespan = SimRequest::new(&model, &compiled, n, topo.as_ref(), &alloc)
+                    .faults(plan)
+                    .arena(&mut arena)
+                    .time_only()
+                    .run()
+                    .makespan_us();
+                let bound = SimRequest::new(&model, &compiled, n, topo.as_ref(), &alloc)
+                    .faults(plan)
+                    .arena(&mut arena)
+                    .lower_bound_us();
+                prop_assert!(
+                    bound <= makespan,
+                    "{:?}/{} p={p} n={n} chunks={chunks} on {}: bound {bound} > makespan {makespan}",
+                    collective, alg.name(), topo.name()
+                );
+                let cutoffs = [
+                    makespan,
+                    just_below(makespan),
+                    bound,
+                    makespan * f64::from(cutoff_pct) / 100.0,
+                ];
+                for cutoff in cutoffs {
+                    let outcome = SimRequest::new(&model, &compiled, n, topo.as_ref(), &alloc)
+                        .faults(plan)
+                        .arena(&mut arena)
+                        .time_only()
+                        .cutoff(cutoff)
+                        .run();
+                    match outcome {
+                        SimOutcome::Completed { makespan_us, .. } => {
+                            prop_assert!(makespan <= cutoff);
+                            prop_assert_eq!(makespan_us.to_bits(), makespan.to_bits());
+                        }
+                        SimOutcome::Exceeded { at_us } => {
+                            prop_assert!(
+                                makespan > cutoff,
+                                "{:?}/{} p={p} n={n}: cut at {cutoff} but makespan {makespan}",
+                                collective, alg.name()
+                            );
+                            prop_assert!(at_us > cutoff && at_us <= makespan);
+                        }
+                        SimOutcome::Stalled(_) => prop_assert!(false, "healthy run stalled"),
+                    }
+                }
+            }
+        }
     }
 }
 

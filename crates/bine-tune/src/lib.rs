@@ -76,5 +76,6 @@ pub use service::{
 };
 pub use table::{slug, DecisionTable, Entry, ScoreModel};
 pub use tuner::{
-    candidates, pruned_best, tuned_name, Candidate, CellBest, Target, TunePoint, Tuner, TunerConfig,
+    candidates, pruned_best, tuned_name, Candidate, CellBest, DesCounts, Target, TunePoint, Tuner,
+    TunerConfig,
 };

@@ -19,18 +19,40 @@
 //!
 //! ## Pruning
 //!
-//! Both stages sort their candidates by the cheap closed-form lower bound
-//! of [`bine_net::cost::LowerBounds`] (computed from the catalog metadata
-//! `AlgorithmId::{min_steps, min_rank_bytes}` — no schedule is built) and
-//! skip every candidate whose bound already exceeds the incumbent best
-//! score. Because the bounds are *true* lower bounds (validated in
-//! `bine-sched`), pruning never changes any argmin — property-tested in
-//! `bine-bench/tests/tuned_selection.rs` by re-tuning random grid points
-//! with pruning disabled — it only avoids building and scoring schedules
-//! that provably lose. This is what keeps full decision-table regeneration (the CI drift
-//! gate does one on every push) inside a CI-friendly budget: the linear
-//! algorithms' `p − 1` step bound prunes them at every latency-dominated
-//! grid point before their O(p²)-message schedules are ever constructed.
+//! Three exact pruning levels keep full decision-table regeneration (the CI
+//! drift gate does one on every push) inside a CI-friendly budget. None of
+//! them can change an argmin, which `bine-bench/tests/tuned_selection.rs`
+//! property-tests by re-tuning random grid points with pruning disabled
+//! ([`TunerConfig::prune`]):
+//!
+//! 1. **Closed-form synchronous bounds.** Stage 1 sorts its candidates by
+//!    the lower bound of [`bine_net::cost::LowerBounds`], computed from the
+//!    catalog metadata `AlgorithmId::{min_steps, min_rank_bytes}` without
+//!    building any schedule, and stops at the first candidate whose bound
+//!    exceeds the threshold (the best score, or the K-th best where stage 2
+//!    needs a top K). The bounds are true lower bounds (validated in
+//!    `bine-sched`), and the threshold only improves, so every skipped
+//!    candidate would have scored strictly worse. The linear algorithms'
+//!    `p − 1` step bound prunes them at every latency-dominated grid point
+//!    before their O(p²)-message schedules are ever constructed.
+//! 2. **Schedule-resolved DES bounds.** Stage 2 bounds every
+//!    (algorithm, segment count) candidate with
+//!    [`bine_net::sim::SimRequest::lower_bound_us`] — the contention-free
+//!    critical path of the compiled schedule or its busiest link's load,
+//!    whichever is larger — and simulates candidates in ascending bound
+//!    order. A candidate whose bound exceeds the incumbent makespan by more
+//!    than a relative 1e-9 cannot reach it and is skipped; the margin only
+//!    absorbs rounding, since the bound is never above the makespan.
+//! 3. **Incumbent cutoff.** Every remaining candidate runs with
+//!    [`bine_net::sim::SimRequest::cutoff`] at the incumbent makespan. A run
+//!    that passes the cutoff has a makespan strictly greater than the
+//!    incumbent, so it can neither win nor tie; a run that ties completes
+//!    with its exact makespan.
+//!
+//! The DES winner is the explicit minimum of (makespan, name order, segment
+//! count), so the order candidates are simulated in cannot change a pick.
+//! [`Tuner::des_counts`] reports how many DES candidates were simulated in
+//! full, stopped by the cutoff and skipped by the bound.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,8 +144,9 @@ pub struct TunerConfig {
     /// latency-dominated points never pick it — so the sweep does not pay
     /// for simulating it.
     pub min_segment_bytes: u64,
-    /// Whether the lower-bound pruning is enabled. Disabled only by tests
-    /// that verify pruning does not change any argmin.
+    /// Whether the lower-bound pruning and the DES cutoff are enabled.
+    /// Disabled only by tests that verify pruning does not change any
+    /// argmin: every candidate is then scored in full.
     pub prune: bool,
 }
 
@@ -138,6 +161,32 @@ impl Default for TunerConfig {
             min_segment_bytes: 1 << 20,
             prune: true,
         }
+    }
+}
+
+/// Relative margin by which a DES candidate's lower bound must exceed the
+/// incumbent makespan before the candidate is skipped. The bound and the
+/// simulator reach their times through different float operations; the
+/// margin keeps a rounding difference from ever skipping a tie.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// How the DES refinement disposed of its candidates, summed over every
+/// grid point a [`Tuner`] refined.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DesCounts {
+    /// Candidates simulated to completion.
+    pub simulated: u64,
+    /// Candidates whose run stopped at the incumbent cutoff.
+    pub cut: u64,
+    /// Candidates skipped because their lower bound exceeds the incumbent.
+    pub skipped: u64,
+}
+
+impl std::ops::AddAssign for DesCounts {
+    fn add_assign(&mut self, other: DesCounts) {
+        self.simulated += other.simulated;
+        self.cut += other.cut;
+        self.skipped += other.skipped;
     }
 }
 
@@ -283,6 +332,7 @@ pub struct Tuner {
     /// tree-count search is not free, so it runs once per grid column, not
     /// once per vector size.
     synth_ids: HashMap<(Collective, usize), Vec<AlgorithmId>>,
+    des_counts: DesCounts,
 }
 
 impl Tuner {
@@ -297,6 +347,7 @@ impl Tuner {
             arena: sim::SimArena::new(),
             views: HashMap::new(),
             synth_ids: HashMap::new(),
+            des_counts: DesCounts::default(),
         }
     }
 
@@ -308,6 +359,11 @@ impl Tuner {
     /// The configuration in use.
     pub fn config(&self) -> &TunerConfig {
         &self.config
+    }
+
+    /// How the DES refinement disposed of its candidates so far.
+    pub fn des_counts(&self) -> DesCounts {
+        self.des_counts
     }
 
     fn point(&self, nodes: usize) -> &TunePoint {
@@ -449,33 +505,43 @@ impl Tuner {
                     )
                     .total_us
             }
-            ScoreModel::Des => {
-                let (base, chunks) = split_segments(name);
-                let key = (collective, base.to_string(), nodes, chunks);
-                if !self.compiled.contains_key(&key) {
-                    self.ensure_schedule(collective, base, nodes);
-                    let compiled = self.schedules[&(collective, base.to_string(), nodes)]
-                        .segmented(chunks)
-                        .compile();
-                    self.compiled.insert(key.clone(), compiled);
-                }
-                let compiled = &self.compiled[&key];
-                // `Target::point` borrows only `self.target`, so the arena
-                // can be borrowed mutably alongside the cached schedule.
-                let point = self.target.point(nodes);
-                sim::SimRequest::new(
-                    &self.target.model,
-                    compiled,
-                    vector_bytes,
-                    point.topology.as_ref(),
-                    &point.allocation,
-                )
-                .arena(&mut self.arena)
-                .time_only()
+            ScoreModel::Des => self
+                .des_request(collective, name, nodes, vector_bytes)
                 .run()
-                .makespan_us()
-            }
+                .makespan_us(),
         }
+    }
+
+    /// An arena-backed, time-only DES request for one candidate (full tuned
+    /// name, `+segS` suffix honoured), compiling it on first use.
+    fn des_request(
+        &mut self,
+        collective: Collective,
+        name: &str,
+        nodes: usize,
+        vector_bytes: u64,
+    ) -> sim::SimRequest<'_> {
+        let (base, chunks) = split_segments(name);
+        let key = (collective, base.to_string(), nodes, chunks);
+        if !self.compiled.contains_key(&key) {
+            self.ensure_schedule(collective, base, nodes);
+            let compiled = self.schedules[&(collective, base.to_string(), nodes)]
+                .segmented(chunks)
+                .compile();
+            self.compiled.insert(key.clone(), compiled);
+        }
+        // `Target::point` borrows only `self.target`, so the arena can be
+        // borrowed mutably alongside the cached schedule.
+        let point = self.target.point(nodes);
+        sim::SimRequest::new(
+            &self.target.model,
+            &self.compiled[&key],
+            vector_bytes,
+            point.topology.as_ref(),
+            &point.allocation,
+        )
+        .arena(&mut self.arena)
+        .time_only()
     }
 
     /// Stage-1 pruned sweep of one grid point: the synchronous-model winner
@@ -607,13 +673,9 @@ impl Tuner {
             }
         }
 
-        let by_name: HashMap<&str, &AlgorithmId> =
-            cands.iter().map(|c| (c.alg.name(), &c.alg)).collect();
-        let mut des_cands: Vec<(f64, usize, usize)> = Vec::new(); // (lb, name idx, seg)
+        let mut des_cands: Vec<(f64, usize, usize)> = Vec::new(); // (bound, name idx, seg)
         for (order, name) in names.iter().enumerate() {
-            let alg = by_name[name.as_str()];
-            let lb = lbs.des_time_us(alg.min_rank_bytes(vector_bytes, nodes));
-            des_cands.push((lb, order, 1));
+            des_cands.push((0.0, order, 1));
             if vector_bytes < self.config.min_segment_bytes {
                 continue;
             }
@@ -632,23 +694,41 @@ impl Tuner {
             effective.sort_unstable();
             effective.dedup();
             for seg in effective {
-                des_cands.push((lb, order, seg));
+                des_cands.push((0.0, order, seg));
             }
         }
-        des_cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        if prune {
+            for c in &mut des_cands {
+                let full = tuned_name(&names[c.1], c.2);
+                c.0 = self
+                    .des_request(collective, &full, nodes, vector_bytes)
+                    .lower_bound_us();
+            }
+        }
+        des_cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
-        let mut best_des: Option<(usize, usize, f64)> = None; // (name idx, seg, score)
-        for &(lb, order, seg) in &des_cands {
-            if prune && best_des.is_some_and(|(_, _, t)| lb > t) {
-                break;
+        let mut best_des: Option<(f64, usize, usize)> = None; // (makespan, name idx, seg)
+        for &(bound, order, seg) in &des_cands {
+            let incumbent = best_des.filter(|_| prune).map(|(t, ..)| t);
+            if incumbent.is_some_and(|t| bound > t * (1.0 + BOUND_MARGIN)) {
+                self.des_counts.skipped += 1;
+                continue;
             }
             let full = tuned_name(&names[order], seg);
-            let t = self.score(collective, &full, nodes, vector_bytes, ScoreModel::Des);
-            if best_des.is_none_or(|(bo, _, bt)| (t, order) < (bt, bo)) {
-                best_des = Some((order, seg, t));
+            let outcome = self
+                .des_request(collective, &full, nodes, vector_bytes)
+                .cutoff(incumbent.unwrap_or(f64::INFINITY))
+                .run();
+            let Some(t) = outcome.try_makespan() else {
+                self.des_counts.cut += 1;
+                continue;
+            };
+            self.des_counts.simulated += 1;
+            if best_des.is_none_or(|b| (t, order, seg) < b) {
+                best_des = Some((t, order, seg));
             }
         }
-        let (order, seg, t) = best_des.expect("DES stage always has candidates");
+        let (t, order, seg) = best_des.expect("DES stage always has candidates");
         Entry {
             collective,
             dist: None,
@@ -819,7 +899,7 @@ pub fn tuned_name(base: &str, segments: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bine_net::topology::IdealFullMesh;
+    use bine_net::topology::{FatTree, IdealFullMesh};
 
     fn target(node_counts: &[usize]) -> Target {
         Target {
@@ -880,5 +960,56 @@ mod tests {
             .unwrap();
         let fresh = tuner.tune_irregular_point(Collective::Gather, SizeDist::OneHeavy, 8, 32);
         assert_eq!(&fresh, committed);
+    }
+
+    #[test]
+    fn des_counts_cover_every_candidate_and_prune_only_when_enabled() {
+        // An oversubscribed fat tree with sizes on both sides of the
+        // segmentation threshold, so the DES stage has losers to bound
+        // and cut.
+        let tune = |prune: bool| {
+            let target = Target {
+                system: "Fatbox".into(),
+                model: CostModel::default(),
+                collectives: vec![Collective::Allreduce, Collective::Broadcast],
+                points: [8usize, 16]
+                    .iter()
+                    .map(|&n| TunePoint {
+                        nodes: n,
+                        topology: Box::new(FatTree::new(n, 4, 1)),
+                        allocation: Allocation::block(n),
+                    })
+                    .collect(),
+                vector_sizes: vec![32, 1 << 20, 16 << 20],
+            };
+            let config = TunerConfig {
+                prune,
+                ..TunerConfig::default()
+            };
+            let mut tuner = Tuner::new(target, config);
+            let mut entries = Vec::new();
+            for collective in [Collective::Allreduce, Collective::Broadcast] {
+                for nodes in [8, 16] {
+                    for bytes in [32, 1 << 20, 16 << 20] {
+                        entries.push(tuner.tune_point(collective, nodes, bytes));
+                    }
+                }
+            }
+            (entries, tuner.des_counts())
+        };
+        let (exhaustive, all) = tune(false);
+        let (pruned, counts) = tune(true);
+        assert_eq!(pruned, exhaustive, "pruning changed a pick");
+        assert_eq!(
+            (all.cut, all.skipped),
+            (0, 0),
+            "prune: false must simulate all"
+        );
+        assert_eq!(
+            counts.simulated + counts.cut + counts.skipped,
+            all.simulated,
+            "pruned counts must sum to the candidates considered"
+        );
+        assert!(counts.cut > 0 && counts.skipped > 0, "{counts:?}");
     }
 }

@@ -2,12 +2,12 @@
 //! after load, `Selector::choose` must be pure binary searches, and the
 //! adaptive `ServiceSelector`'s warm pick + observe loop must stay heap-free
 //! too — so a hot collective-dispatch path can consult either per call
-//! without allocator pressure. Measured with a counting wrapper around the
-//! system allocator (tests are their own crates, so the library's
+//! without allocator pressure. Measured with a per-thread counting wrapper
+//! around the system allocator (tests are their own crates, so the library's
 //! `#![forbid(unsafe_code)]` still holds for `bine-tune` itself).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use bine_net::ObservedTiming;
@@ -16,7 +16,23 @@ use bine_tune::{
     AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, ServiceSelector,
 };
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps a
+    /// test from being charged for whatever the harness runs beside it on
+    /// other threads, without making the zero-allocation pins any looser.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_one() {
+    // `try_with`: the allocator may run while a thread's locals are being
+    // torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
@@ -24,7 +40,7 @@ struct Counting;
 // side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -33,7 +49,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,7 +86,7 @@ fn table() -> DecisionTable {
 fn choose_never_allocates_after_load() {
     let selector = Selector::from_table(&table());
     // Warm nothing: choose must be allocation-free from the first call.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut checksum = 0usize;
     for nodes in [1usize, 4, 10, 64, 300, 10_000] {
         for bytes in [1u64, 32, 5000, 1 << 20, 1 << 30] {
@@ -80,7 +96,7 @@ fn choose_never_allocates_after_load() {
             checksum += t.segments + t.algorithm.len();
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -119,7 +135,7 @@ fn warm_service_pick_and_observe_never_allocate() {
         ObservedTiming::execution(1.0),
     );
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut steps = 0usize;
     for _ in 0..100 {
         let t = service
@@ -138,7 +154,7 @@ fn warm_service_pick_and_observe_never_allocate() {
             ObservedTiming::execution(1.0),
         );
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
