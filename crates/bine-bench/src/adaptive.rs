@@ -8,7 +8,7 @@
 //! latency spikes, stragglers) the offline model knows nothing about.
 //! Observed per-pick costs — here the faulted DES, so the whole run is
 //! bit-reproducible across machines — are fed back through
-//! [`bine_tune::ServiceSelector::observe`]:
+//! [`bine_tune::ServiceSelector::observe_at`]:
 //!
 //! 1. the entry's observed mean diverges past the committed modelled
 //!    score, triggering a single-flight re-evaluation whose scorer is the

@@ -49,15 +49,7 @@ fn main() {
         "crash chaos: {} table, {} threads × {} requests, seed {}\n",
         opts.system, opts.threads, opts.requests_per_thread, opts.seed
     );
-    // The recovery ladder probes schedule builders under `catch_unwind`;
-    // unsupported rank counts assert, and those probe panics are expected.
-    // Keep their backtraces off stderr for the duration of the run — any
-    // real contract violation is caught and returned as `Err` instead.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = run(&opts);
-    std::panic::set_hook(default_hook);
-    let report = report.unwrap_or_else(|e| {
+    let report = run(&opts).unwrap_or_else(|e| {
         eprintln!("crash_chaos: {e}");
         std::process::exit(2);
     });

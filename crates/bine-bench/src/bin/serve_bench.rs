@@ -17,6 +17,7 @@
 
 use bine_bench::serve::{measure, ServeOptions};
 use bine_exec::state::Workload;
+use bine_exec::ExecutorPool;
 use bine_sched::{build, Collective};
 use bine_tune::ServiceSelector;
 
@@ -75,13 +76,15 @@ fn main() {
     let sched = build(Collective::Allreduce, &name, 16, 0).expect("buildable pick");
     let w = Workload::for_schedule(&sched, 4);
     let finals = service
-        .execute(
+        .try_execute_on(
+            ExecutorPool::global(),
             &opts.system,
             Collective::Allreduce,
             16,
             1 << 20,
             w.initial_state(&sched),
         )
+        .expect("tuned pick resolves")
         .expect("execute");
     bine_exec::verify(&w, &finals).expect("tuned allreduce must verify");
     println!("\nexecute smoke: tuned pick {name} @16 ranks ran and verified on the shared pool");

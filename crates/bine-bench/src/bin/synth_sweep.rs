@@ -20,8 +20,6 @@
 //!
 //! The CI workflow runs this as the synthesis-integrity step.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use bine_bench::systems::System;
 use bine_net::cost::CostModel;
 use bine_net::sim::SimRequest;
@@ -56,10 +54,6 @@ fn main() {
             other => panic!("unknown argument {other}; usage: synth_sweep [--max-nodes N]"),
         }
     }
-
-    // Catalog builders panic on unsupported rank counts; keep those
-    // expected backtraces off stderr so a real failure stays visible.
-    std::panic::set_hook(Box::new(|_| {}));
 
     let model = CostModel::default();
     let mut validated = 0usize;
@@ -109,11 +103,7 @@ fn main() {
                 let catalog: Vec<(String, CompiledSchedule)> = algorithms(collective)
                     .iter()
                     .filter_map(|alg| {
-                        let sched = catch_unwind(AssertUnwindSafe(|| {
-                            build(collective, alg.name(), nodes, 0)
-                        }))
-                        .ok()
-                        .flatten()?;
+                        let sched = build(collective, alg.name(), nodes, 0)?;
                         Some((alg.name().to_string(), sched.compile()))
                     })
                     .collect();

@@ -8,16 +8,15 @@
 //! the validator rejects: a failure here means the catalog emitted a
 //! schedule that drops data, deadlocks, or miscounts bytes.
 //!
-//! Builders panic (rather than return `None`) on unsupported rank counts,
-//! so every probe runs under `catch_unwind`; a skipped configuration is
-//! counted, never silently dropped.
+//! The string-keyed builders are total: a configuration the catalog does
+//! not support (a power-of-two-only algorithm at a non-power-of-two rank
+//! count) builds to `None` and is counted as skipped, never silently
+//! dropped.
 //!
 //! Usage:
 //! `cargo run --release -p bine-bench --bin validate_sweep -- [--max-ranks N]`
 //!
 //! The CI workflow runs this as the schedule-integrity step.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bine_sched::{
     algorithms, build, build_irregular, irregular_algorithms, validate_schedule, Collective,
@@ -40,11 +39,6 @@ fn main() {
         }
     }
 
-    // Builder panics on unsupported rank counts are expected and counted;
-    // keep their backtraces off stderr so a real failure stays visible.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
     let mut validated = 0usize;
     let mut skipped = 0usize;
     let mut failures = Vec::new();
@@ -61,12 +55,7 @@ fn main() {
                     &[0]
                 };
                 for &root in roots {
-                    let built = catch_unwind(AssertUnwindSafe(|| {
-                        build(collective, alg.name(), p, root % p)
-                    }))
-                    .ok()
-                    .flatten();
-                    let Some(sched) = built else {
+                    let Some(sched) = build(collective, alg.name(), p, root % p) else {
                         skipped += 1;
                         continue;
                     };
@@ -95,12 +84,7 @@ fn main() {
             for p in 2..=max_ranks.min(32) {
                 for dist in SizeDist::ALL {
                     let counts = dist.counts(p, 0);
-                    let built = catch_unwind(AssertUnwindSafe(|| {
-                        build_irregular(collective, alg.name(), p, 0, &counts)
-                    }))
-                    .ok()
-                    .flatten();
-                    let Some(sched) = built else {
+                    let Some(sched) = build_irregular(collective, alg.name(), p, 0, &counts) else {
                         skipped += 1;
                         continue;
                     };
@@ -118,7 +102,6 @@ fn main() {
         }
     }
 
-    std::panic::set_hook(default_hook);
     println!(
         "validate_sweep: {validated} schedules validated, {skipped} unsupported \
          configurations skipped (max {max_ranks} ranks)"

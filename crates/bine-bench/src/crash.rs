@@ -1,5 +1,5 @@
 //! Crash-chaos harness for the shrink-and-retry recovery path: hammers
-//! [`bine_tune::ServiceSelector::try_execute_recovering`] with seeded
+//! [`bine_tune::ServiceSelector::try_execute_recovering_on`] with seeded
 //! dead-rank plans and verifies every answer against a directly-built
 //! reference.
 //!
@@ -26,11 +26,10 @@
 //!
 //! [`TrafficReport`]: bine_net::traffic::TrafficReport
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use bine_exec::{ExecError, Workload};
+use bine_exec::{ExecError, ExecutorPool, Workload};
 use bine_net::allocation::Allocation;
 use bine_net::traffic;
 use bine_sched::{validate_schedule, Collective, ProviderSet, Schedule};
@@ -237,14 +236,7 @@ fn scenarios(service: &ServiceSelector, sys: usize, seed: u64) -> Result<Vec<Sce
                 let survivors = nodes - 1;
                 let recoverable = [pick.as_str(), fallback_pick(collective, bytes)]
                     .iter()
-                    .any(|cand| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            providers.build(collective, cand, survivors, 0)
-                        }))
-                        .ok()
-                        .flatten()
-                        .is_some()
-                    });
+                    .any(|cand| providers.build(collective, cand, survivors, 0).is_some());
                 if recoverable {
                     Expect::Recovered
                 } else {
@@ -275,7 +267,7 @@ fn scenarios(service: &ServiceSelector, sys: usize, seed: u64) -> Result<Vec<Sce
 }
 
 /// Runs the crash-chaos harness: a multi-threaded storm of
-/// `try_execute_recovering` requests under seeded kill plans, then a
+/// `try_execute_recovering_on` requests under seeded kill plans, then a
 /// serial verification pass that re-runs every scenario and checks each
 /// outcome in depth — recovered finals against a direct shrunk-communicator
 /// reference run, recovery schedules through the validator and the traffic
@@ -314,7 +306,8 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
                 barrier.wait();
                 for i in 0..requests_per_thread {
                     let s = &scenarios[(i + t * 7) % scenarios.len()];
-                    match service.try_execute_recovering(
+                    match service.try_execute_recovering_on(
+                        ExecutorPool::global(),
                         system,
                         s.collective,
                         s.nodes,
@@ -362,7 +355,15 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
             s.dead
         );
         let outcome = service
-            .try_execute_recovering(&opts.system, s.collective, s.nodes, s.bytes, elems, &s.dead)
+            .try_execute_recovering_on(
+                ExecutorPool::global(),
+                &opts.system,
+                s.collective,
+                s.nodes,
+                s.bytes,
+                elems,
+                &s.dead,
+            )
             .ok_or_else(|| format!("verification request {label} unanswered"))?;
         match (outcome, s.expect) {
             (Ok(Served::Full(finals)), Expect::Full) => {
@@ -528,9 +529,10 @@ mod tests {
     #[test]
     fn empty_kill_plans_never_stall() {
         let service = ServiceSelector::load_default().expect("committed tables");
+        let pool = ExecutorPool::new(2);
         for (c, n, b) in queries() {
             let served = service
-                .try_execute_recovering("LUMI", c, n, b, 2, &[])
+                .try_execute_recovering_on(&pool, "LUMI", c, n, b, 2, &[])
                 .expect("query resolves")
                 .expect("healthy runs complete");
             assert!(!served.is_recovered());

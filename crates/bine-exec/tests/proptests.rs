@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bine_exec::state::Workload;
 use bine_exec::{compiled, sequential, threaded, verify};
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, Collective, Schedule, SizeDist,
+    algorithms, build, build_irregular, irregular_algorithms, Collective, SizeDist,
     IRREGULAR_COLLECTIVES,
 };
 use proptest::prelude::*;
@@ -80,25 +80,17 @@ proptest! {
         let alg = &algs[alg_seed % algs.len()];
         let root = root_seed % p;
         // Some generators only support power-of-two rank counts (the paper's
-        // restriction); a build panic at a non-pow2 count skips this case,
+        // restriction); `None` at a non-pow2 count skips this case,
         // everything that builds must execute identically on every executor.
-        let built: Option<Schedule> = catch_unwind(AssertUnwindSafe(|| {
-            build(collective, alg.name(), p, root)
-        })).ok().flatten();
-        let Some(sched) = built else { return Ok(()) };
-        if sched.validate().is_err() {
-            // Non-pow2 counts can produce structurally invalid schedules in
-            // pow2-only generators without panicking; equivalence is only
-            // claimed for valid schedules.
-            return Ok(());
-        }
+        let Some(sched) = build(collective, alg.name(), p, root) else { return Ok(()) };
+        prop_assert!(sched.validate().is_ok(), "{:?}/{} p={p}", collective, alg.name());
         let workload = Workload::for_schedule(&sched, elems);
         let reference = catch_unwind(AssertUnwindSafe(|| {
             sequential::run_reference(&sched, workload.initial_state(&sched))
         }));
-        // A generator that silently mis-builds at unsupported counts may
-        // reference blocks nobody holds; the reference interpreter panics,
-        // and equivalence requires every executor to reject it the same way.
+        // Equivalence covers rejection too: a schedule the reference
+        // interpreter rejects (it panics on a block nobody holds) must be
+        // rejected the same way by every executor.
         let Ok(reference) = reference else {
             for (name, outcome) in [
                 ("sequential", catch_unwind(AssertUnwindSafe(|| sequential::run(&sched, workload.initial_state(&sched))))),
@@ -182,15 +174,12 @@ proptest! {
         } else {
             alg.name().to_string()
         };
-        // The butterfly-backed variants only exist at pow2 rank counts — a
-        // build panic skips the case, exactly as in the regular matrix.
-        let built: Option<Schedule> = catch_unwind(AssertUnwindSafe(|| {
-            build_irregular(collective, &name, p, root, &counts)
-        })).ok().flatten();
-        let Some(sched) = built else { return Ok(()) };
-        if sched.validate().is_err() {
+        // The butterfly-backed variants only exist at pow2 rank counts —
+        // `None` skips the case, exactly as in the regular matrix.
+        let Some(sched) = build_irregular(collective, &name, p, root, &counts) else {
             return Ok(());
-        }
+        };
+        prop_assert!(sched.validate().is_ok(), "{:?}/{name} p={p}", collective);
         prop_assert!(sched.counts.is_some(), "irregular schedule lost its counts");
         let workload = Workload::for_schedule(&sched, elems);
         let reference = catch_unwind(AssertUnwindSafe(|| {

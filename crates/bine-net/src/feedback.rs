@@ -16,7 +16,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingSource {
     /// Measured wall time of a real execution (e.g. an
-    /// `ExecutorPool` run behind `ServiceSelector::execute`).
+    /// `ExecutorPool` run behind `ServiceSelector::try_execute_on`).
     Execution,
     /// A discrete-event simulated makespan (e.g. a [`crate::sim::SimRequest`]
     /// run standing in for the network).

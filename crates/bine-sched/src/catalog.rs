@@ -248,8 +248,12 @@ pub fn algorithms(collective: Collective) -> Vec<AlgorithmId> {
 
 /// Builds the schedule for a named algorithm.
 ///
-/// `root` is used only by the rooted collectives. Returns `None` if the name
-/// is unknown for that collective.
+/// Total: returns `None` — never panics — for any `(collective, name, p,
+/// root)` it cannot build: an unknown name, a rank count the algorithm is
+/// not defined on (only `ring`, `pairwise` and `bruck` build at
+/// non-power-of-two `p`; `dual-root` needs `p >= 2`), or `root >= p` (so
+/// also `p == 0`). `root` only shapes the rooted collectives, but must
+/// name a rank for every collective.
 ///
 /// A `+seg{S}` suffix with `S >= 2` (e.g. `"bine-large+seg4"`) builds the
 /// base algorithm and then applies the pipelining transform of
@@ -261,6 +265,9 @@ pub fn build(collective: Collective, name: &str, p: usize, root: usize) -> Optio
     let (base, chunks) = split_segments(name);
     if chunks > 1 {
         return build(collective, base, p, root).map(|s| s.segmented(chunks));
+    }
+    if root >= p || !builds_at(name, p) {
+        return None;
     }
     let sched = match collective {
         Collective::Broadcast => {
@@ -297,6 +304,20 @@ pub fn build(collective: Collective, name: &str, p: usize, root: usize) -> Optio
         }
     };
     Some(sched)
+}
+
+/// The rank counts a catalog algorithm builds at, stated once so that
+/// [`build`] refuses the rest instead of panicking deep in a builder. Bine
+/// trees and butterflies (negabinary rank encoding, `log2 p` steps) and
+/// their binomial baselines are defined on power-of-two communicators only;
+/// the chain and shift algorithms build at any `p ≥ 1`; `dual-root` needs
+/// two roots.
+fn builds_at(base: &str, p: usize) -> bool {
+    match base {
+        "ring" | "pairwise" | "bruck" => p >= 1,
+        "dual-root" => p >= 2 && p.is_power_of_two(),
+        _ => p.is_power_of_two(),
+    }
 }
 
 fn rs_by_name(name: &str) -> Option<ReduceScatterAlg> {

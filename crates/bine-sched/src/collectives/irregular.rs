@@ -353,12 +353,12 @@ pub fn irregular_algorithms(collective: Collective) -> Vec<IrregularAlg> {
 }
 
 /// Builds the irregular schedule for `collective` with algorithm `name`
-/// (optionally `+segS`-suffixed for pipelining), or `None` for an unknown
-/// or inapplicable algorithm name.
+/// (optionally `+segS`-suffixed for pipelining).
 ///
-/// # Panics
-/// Like the regular [`crate::build`], panics when the algorithm exists but
-/// cannot be built at this rank count (e.g. a butterfly at non-pow2 `p`).
+/// Total, like the regular [`crate::build`]: returns `None` — never
+/// panics — for an unknown or inapplicable algorithm name, a rank count the
+/// algorithm does not build at, `root >= p` (so also `p == 0`), or counts
+/// that do not cover exactly `p` ranks.
 pub fn build_irregular(
     collective: Collective,
     name: &str,
@@ -368,7 +368,17 @@ pub fn build_irregular(
 ) -> Option<Schedule> {
     let (base, segments) = crate::catalog::split_segments(name);
     let alg = IrregularAlg::from_name(base)?;
-    if !irregular_algorithms(collective).contains(&alg) {
+    // `traff` and `ring` build at any rank count; the Bine and binomial
+    // routings are power-of-two only, like their regular counterparts.
+    let builds_at_p = match alg {
+        IrregularAlg::Traff | IrregularAlg::Ring => true,
+        IrregularAlg::Bine | IrregularAlg::BinomialDd => p.is_power_of_two(),
+    };
+    if !builds_at_p
+        || root >= p
+        || counts.num_ranks() != p
+        || !irregular_algorithms(collective).contains(&alg)
+    {
         return None;
     }
     let counts = counts.clone();

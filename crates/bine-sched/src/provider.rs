@@ -34,7 +34,8 @@ pub trait ScheduleProvider: Send + Sync {
     fn algorithms(&self, collective: Collective, nodes: usize) -> Vec<AlgorithmId>;
 
     /// Builds the schedule for a claimed base name, or `None` if it cannot
-    /// be built for this (collective, nodes) pair.
+    /// be built for this `(collective, nodes, root)`. Must not panic:
+    /// [`ProviderSet::build`] promises callers a total builder.
     fn build(
         &self,
         collective: Collective,
@@ -214,7 +215,11 @@ impl ProviderSet {
 
     /// Builds a named schedule: `+seg{S}` handling plus provider dispatch.
     /// Mirrors [`crate::catalog::build`]'s contract (including `+seg1`
-    /// rejection via the canonical `split_segments`).
+    /// rejection via the canonical `split_segments`): `None` — never a
+    /// panic — for any `(collective, name, nodes, root)` no provider can
+    /// build, such as a power-of-two-only algorithm at a non-power-of-two
+    /// `nodes` or `root >= nodes`. Callers ask this, not a separate
+    /// capability query, whether a pick is buildable.
     pub fn build(
         &self,
         collective: Collective,

@@ -13,15 +13,16 @@
 //!   vector that does not match the rank count) are rejected, and with
 //!   the *right* diagnosis, not just any error.
 //!
-//! Builders panic (rather than return `None`) on unsupported rank counts,
-//! so every probe runs under `catch_unwind` — a skipped configuration is
-//! one the catalog genuinely cannot build, never a silenced failure.
+//! The string-keyed builders are total — an unsupported configuration
+//! builds to `None` — so a skipped configuration is one the catalog
+//! genuinely cannot build, never a silenced failure. Which configurations
+//! those are is pinned exhaustively by `builders_are_total`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use bine_sched::{
     algorithms, build, build_irregular, irregular_algorithms, validate_schedule, Collective,
-    Schedule, SizeDist, ValidationError, IRREGULAR_COLLECTIVES,
+    Counts, ProviderSet, SizeDist, TopologyView, ValidationError, IRREGULAR_COLLECTIVES,
 };
 use proptest::prelude::*;
 
@@ -29,12 +30,83 @@ fn any_collective() -> impl Strategy<Value = Collective> {
     prop::sample::select(Collective::ALL.to_vec())
 }
 
-/// Builds `name` at `p` ranks, treating a builder panic (unsupported rank
-/// count) the same as `None`.
-fn try_build(collective: Collective, name: &str, p: usize, root: usize) -> Option<Schedule> {
-    catch_unwind(AssertUnwindSafe(|| build(collective, name, p, root)))
-        .ok()
-        .flatten()
+/// The roots the totality test probes at `p` ranks: the first two ranks,
+/// the last one, and the first out-of-range one (`p - 1` wraps to
+/// `usize::MAX` at `p = 0`).
+fn probe_roots(p: usize) -> [usize; 4] {
+    [0, 1, p.wrapping_sub(1), p]
+}
+
+// Totality: the string-keyed builders return `None` — never panic — for
+// every configuration they cannot build, and `Some` for exactly the
+// documented capability: power-of-two `p` with `root < p` (`p >= 2` for
+// `dual-root`), and any `p >= 1` for the chain and shift algorithms.
+#[test]
+fn builders_are_total() {
+    for collective in Collective::ALL {
+        for alg in algorithms(collective) {
+            let any_p = matches!(alg.name(), "ring" | "pairwise" | "bruck");
+            let min_p = if alg.name() == "dual-root" { 2 } else { 1 };
+            for p in 0..=64usize {
+                for root in probe_roots(p) {
+                    let expected = root < p && p >= min_p && (any_p || p.is_power_of_two());
+                    assert_eq!(
+                        build(collective, alg.name(), p, root).is_some(),
+                        expected,
+                        "{}/{} p={p} root={root}",
+                        collective.name(),
+                        alg.name()
+                    );
+                }
+            }
+        }
+    }
+    for collective in IRREGULAR_COLLECTIVES {
+        for alg in irregular_algorithms(collective) {
+            let any_p = matches!(alg.name(), "traff" | "ring");
+            for p in 0..=64usize {
+                let counts = Counts::new(vec![1; p.max(1)]);
+                for root in probe_roots(p) {
+                    let expected = root < p && (any_p || p.is_power_of_two());
+                    assert_eq!(
+                        build_irregular(collective, alg.name(), p, root, &counts).is_some(),
+                        expected,
+                        "{}v/{} p={p} root={root}",
+                        collective.name(),
+                        alg.name()
+                    );
+                }
+            }
+        }
+    }
+    // The provider set answers the same question for synthesized names:
+    // out-of-range roots build to `None` at every size, with or without a
+    // view, and in-range roots never panic.
+    let providers = ProviderSet::with_synth(Arc::new(|nodes: usize| {
+        TopologyView::clustered(&[nodes / 2, nodes - nodes / 2], (100.0, 0.3), (5.0, 25.0)).ok()
+    }));
+    let synth_names = [
+        "synth:forestcoll:k=1",
+        "synth:forestcoll:k=2",
+        "synth:multilevel:tiers=1",
+        "synth:multilevel:tiers=2+seg2",
+    ];
+    for collective in Collective::ALL {
+        for name in synth_names {
+            for p in 0..=64usize {
+                for root in probe_roots(p) {
+                    let built = providers.build(collective, name, p, root);
+                    if root >= p {
+                        assert!(
+                            built.is_none(),
+                            "{}/{name} p={p} root={root}",
+                            collective.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -53,7 +125,7 @@ proptest! {
     ) {
         let algs = algorithms(collective);
         let alg = algs[alg_seed % algs.len()].clone();
-        let Some(sched) = try_build(collective, alg.name(), p, root_seed % p) else {
+        let Some(sched) = build(collective, alg.name(), p, root_seed % p) else {
             return Ok(());
         };
         let sched = sched.segmented(chunks);
@@ -84,12 +156,9 @@ proptest! {
         } else {
             alg.name().to_string()
         };
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            build_irregular(collective, &name, p, 0, &counts)
-        }))
-        .ok()
-        .flatten();
-        let Some(sched) = built else { return Ok(()) };
+        let Some(sched) = build_irregular(collective, &name, p, 0, &counts) else {
+            return Ok(());
+        };
         prop_assert!(
             validate_schedule(&sched).is_ok(),
             "{}v/{name} p={p} dist={}: {:?}",
@@ -118,7 +187,7 @@ proptest! {
         ];
         let (collective, name) = picks[pick_seed % picks.len()];
         let p = 1usize << s;
-        let Some(mut sched) = try_build(collective, name, p, 0) else {
+        let Some(mut sched) = build(collective, name, p, 0) else {
             return Ok(());
         };
         let total: usize = sched.steps.iter().map(|st| st.messages.len()).sum();
@@ -152,7 +221,7 @@ proptest! {
         root_seed in 0usize..1000,
     ) {
         let p = 1usize << s;
-        let Some(mut sched) = try_build(Collective::Broadcast, name, p, root_seed % p) else {
+        let Some(mut sched) = build(Collective::Broadcast, name, p, root_seed % p) else {
             return Ok(());
         };
         sched.steps.reverse();
@@ -178,13 +247,9 @@ proptest! {
         }
         let counts = SizeDist::Linear.counts(p, 0);
         let algs = irregular_algorithms(collective);
-        let built = algs.iter().find_map(|alg| {
-            catch_unwind(AssertUnwindSafe(|| {
-                build_irregular(collective, alg.name(), p, 0, &counts)
-            }))
-            .ok()
-            .flatten()
-        });
+        let built = algs
+            .iter()
+            .find_map(|alg| build_irregular(collective, alg.name(), p, 0, &counts));
         let Some(mut sched) = built else { return Ok(()) };
         sched.counts = Some(SizeDist::Linear.counts(p - shrink, 0));
         let err = validate_schedule(&sched);

@@ -28,8 +28,9 @@
 //!   binomial baseline ([`fallback_pick`]) while the breaker half-opens in
 //!   the background — so every request gets *an* answer, and the per-shard
 //!   fallback/timeout/retry counters make degraded mode observable;
-//! * **shared execution** — [`ServiceSelector::execute`] runs the resolved
-//!   schedule on the process-wide [`bine_exec::ExecutorPool`], turning a
+//! * **shared execution** — [`ServiceSelector::try_execute_on`] runs the
+//!   resolved schedule on a caller-supplied [`bine_exec::ExecutorPool`]
+//!   (typically the process-wide one), turning a
 //!   `(system, collective, nodes, bytes, data)` request into finished block
 //!   stores without the caller touching schedules at all;
 //! * **shrink-and-retry crash recovery** —
@@ -701,8 +702,8 @@ impl ServiceSelector {
     }
 
     /// Enables online adaptive tuning: the service records per-pick
-    /// observed timings (fed by [`ServiceSelector::observe`] and the
-    /// `execute` family), compares them against the committed modelled
+    /// observed timings (fed by [`ServiceSelector::observe_at`] and
+    /// [`ServiceSelector::try_execute_on`]), compares them against the committed modelled
     /// scores, and when an entry diverges past [`AdaptPolicy::divergence`]
     /// re-evaluates challengers through `reevaluator` — promoting a winner
     /// into an epoch-versioned overlay on top of the immutable committed
@@ -1087,11 +1088,13 @@ impl ServiceSelector {
 
     /// Feeds one observed per-pick cost into the adaptive feedback loop:
     /// the execution wall time of a served schedule, or the simulated cost
-    /// when the caller runs picks through the DES. A no-op unless
+    /// when the caller runs picks through the DES. `sys` is a system index
+    /// ([`ServiceSelector::resolve_system`]). A no-op unless
     /// [`ServiceSelector::with_adaptation`] enabled adaptation (and on
-    /// unresolvable queries). The `execute` family calls this itself;
-    /// callers that resolve schedules via [`ServiceSelector::compiled`]
-    /// and run them elsewhere report their timings here.
+    /// unresolvable queries). [`ServiceSelector::try_execute_on`] calls
+    /// this itself; callers that resolve schedules via
+    /// [`ServiceSelector::compiled`] and run them elsewhere report their
+    /// timings here.
     ///
     /// The warm path is allocation-free: the observation lands in a
     /// fixed-bucket histogram under the stripe lock the request path
@@ -1099,20 +1102,6 @@ impl ServiceSelector {
     /// [`AdaptPolicy::divergence`], this call runs the re-evaluation
     /// before returning (single-flight: concurrent observers skip rather
     /// than block, and repeated failures trip a per-entry breaker).
-    pub fn observe(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        timing: ObservedTiming,
-    ) {
-        if let Some(sys) = self.system_index(system) {
-            self.observe_at(sys, collective, nodes, bytes, timing);
-        }
-    }
-
-    /// [`ServiceSelector::observe`] by system index.
     pub fn observe_at(
         &self,
         sys: usize,
@@ -1285,7 +1274,7 @@ impl ServiceSelector {
     /// panics as [`ExecError`] instead of unwinding. `None` when the query
     /// resolves to no table entry or the pick is not buildable at this
     /// rank count. On success the execution wall time is fed back into the
-    /// adaptive loop (see [`ServiceSelector::observe`]).
+    /// adaptive loop (see [`ServiceSelector::observe_at`]).
     pub fn try_execute_on(
         &self,
         pool: &ExecutorPool,
@@ -1309,26 +1298,6 @@ impl ServiceSelector {
             );
         }
         Some(result)
-    }
-
-    /// [`ServiceSelector::try_execute_on`] over the process-wide
-    /// [`ExecutorPool::global`].
-    pub fn try_execute(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        initial: Vec<BlockStore>,
-    ) -> Option<Result<Vec<BlockStore>, ExecError>> {
-        self.try_execute_on(
-            ExecutorPool::global(),
-            system,
-            collective,
-            nodes,
-            bytes,
-            initial,
-        )
     }
 
     /// Crash-tolerant execution with shrink-and-retry recovery: resolves
@@ -1377,16 +1346,10 @@ impl ServiceSelector {
         let index = self.systems.get(sys)?;
         let slot = index.slot_index(collective, nodes, bytes)?;
         let pick = index.slot(slot).pick.clone();
-        // Some builders panic rather than return `None` on an unsupported
-        // rank count (off-grid queries can land there); both are "not
-        // buildable" here. Routed through the index's provider set so
-        // committed synthesized picks rebuild exactly like catalog ones.
-        let providers = index.providers().clone();
-        let sched = catch_unwind(AssertUnwindSafe(|| {
-            providers.build(collective, &pick, nodes, 0)
-        }))
-        .ok()
-        .flatten()?;
+        // Routed through the index's provider set so committed synthesized
+        // picks rebuild exactly like catalog ones. An off-grid query can
+        // land on a rank count the pick does not build at: `None`.
+        let sched = index.providers().build(collective, &pick, nodes, 0)?;
         let key: Key = (sys as u32, collective, nodes, slot);
         let compiled = self.cached_or_compile(key, || Arc::new(sched.compile()));
         let w = Workload::for_schedule(&sched, elems_per_block);
@@ -1409,28 +1372,6 @@ impl ServiceSelector {
             }
             Err(other) => Some(Err(other)),
         }
-    }
-
-    /// [`ServiceSelector::try_execute_recovering_on`] over the process-wide
-    /// [`ExecutorPool::global`].
-    pub fn try_execute_recovering(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        elems_per_block: usize,
-        dead: &[usize],
-    ) -> Option<Result<Served, ExecError>> {
-        self.try_execute_recovering_on(
-            ExecutorPool::global(),
-            system,
-            collective,
-            nodes,
-            bytes,
-            elems_per_block,
-            dead,
-        )
     }
 
     /// The shrink half of the recovery ladder: dense survivor renumbering,
@@ -1464,9 +1405,7 @@ impl ServiceSelector {
         // slot's own pick, the binomial fallback, then the linear any-p
         // algorithm of the collective (the butterfly/tree algorithms only
         // build at power-of-two rank counts, and a shrink almost always
-        // lands off it). `build` panics (rather than returning `None`) on
-        // an unsupported rank count for some builders, so every probe runs
-        // under `catch_unwind`.
+        // lands off it).
         let mut candidates: Vec<&str> = vec![pick, fallback_pick(collective, bytes)];
         match collective {
             Collective::Allreduce | Collective::Allgather | Collective::ReduceScatter => {
@@ -1484,12 +1423,9 @@ impl ServiceSelector {
             .map(|i| i.providers().clone())
             .unwrap_or_default();
         let built = candidates.iter().find_map(|cand| {
-            catch_unwind(AssertUnwindSafe(|| {
-                providers.build(collective, cand, survivors, 0)
-            }))
-            .ok()
-            .flatten()
-            .map(|sched| (cand.to_string(), sched))
+            providers
+                .build(collective, cand, survivors, 0)
+                .map(|sched| (cand.to_string(), sched))
         });
         let Some((rec_pick, rec_sched)) = built else {
             // No catalog algorithm builds over this survivor count — the
@@ -1553,38 +1489,6 @@ impl ServiceSelector {
         }
         state.insert(key, Arc::clone(&compiled), self.shard_capacity);
         compiled
-    }
-
-    /// Resolves the tuned pick, compiles (or fetches) its schedule and
-    /// executes it over `initial` block stores on `pool`. `None` when the
-    /// query resolves to no table entry or the pick is not buildable at
-    /// this rank count. Panics if a pool job panicked; the fallible
-    /// surface is [`ServiceSelector::try_execute_on`].
-    pub fn execute_on(
-        &self,
-        pool: &ExecutorPool,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        initial: Vec<BlockStore>,
-    ) -> Option<Vec<BlockStore>> {
-        self.try_execute_on(pool, system, collective, nodes, bytes, initial)
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    /// [`ServiceSelector::execute_on`] over the process-wide
-    /// [`ExecutorPool::global`].
-    pub fn execute(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        initial: Vec<BlockStore>,
-    ) -> Option<Vec<BlockStore>> {
-        self.try_execute(system, collective, nodes, bytes, initial)
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
     }
 
     fn shard_of(&self, key: &Key) -> usize {
@@ -1993,9 +1897,10 @@ mod tests {
         use bine_sched::build;
 
         let service = ServiceSelector::from_tables(&[table("Testbox")]);
+        let pool = ExecutorPool::new(2);
         // (allreduce, 16, 32) resolves to recursive-doubling; kill rank 5.
         let served = service
-            .try_execute_recovering("Testbox", Collective::Allreduce, 16, 32, 2, &[5])
+            .try_execute_recovering_on(&pool, "Testbox", Collective::Allreduce, 16, 32, 2, &[5])
             .expect("query resolves")
             .expect("the stall recovers");
         assert_eq!(service.stalls(), 1);
@@ -2020,12 +1925,13 @@ mod tests {
         // Rank 3 is a leaf of the broadcast tree at (broadcast, 16, 32):
         // nobody receives from it, so the run completes without shrinking.
         let service = ServiceSelector::from_tables(&[table("Testbox")]);
+        let pool = ExecutorPool::new(2);
         let sched = bine_sched::build(Collective::Broadcast, "bine-tree", 16, 0).unwrap();
         let leaf = (0..16)
             .find(|r| sched.messages().all(|(_, m)| m.src != *r))
             .expect("a broadcast tree has leaves");
         let served = service
-            .try_execute_recovering("Testbox", Collective::Broadcast, 16, 32, 2, &[leaf])
+            .try_execute_recovering_on(&pool, "Testbox", Collective::Broadcast, 16, 32, 2, &[leaf])
             .expect("query resolves")
             .expect("a dead leaf stalls nobody");
         assert!(!served.is_recovered());
@@ -2039,8 +1945,9 @@ mod tests {
         // Root 0's payload exists nowhere else: the stall must surface as
         // the original RankDead, and no recovery may be counted.
         let service = ServiceSelector::from_tables(&[table("Testbox")]);
+        let pool = ExecutorPool::new(2);
         let err = service
-            .try_execute_recovering("Testbox", Collective::Broadcast, 16, 32, 2, &[0])
+            .try_execute_recovering_on(&pool, "Testbox", Collective::Broadcast, 16, 32, 2, &[0])
             .expect("query resolves")
             .expect_err("the source data died with the root");
         assert!(matches!(err, ExecError::RankDead { src: 0, .. }));
@@ -2051,9 +1958,10 @@ mod tests {
     #[test]
     fn repeated_recoveries_reuse_the_recovery_cache_slot() {
         let service = ServiceSelector::from_tables(&[table("Testbox")]);
+        let pool = ExecutorPool::new(2);
         for _ in 0..3 {
             let served = service
-                .try_execute_recovering("Testbox", Collective::Allreduce, 16, 32, 2, &[5])
+                .try_execute_recovering_on(&pool, "Testbox", Collective::Allreduce, 16, 32, 2, &[5])
                 .unwrap()
                 .unwrap();
             assert!(served.is_recovered());
@@ -2076,15 +1984,18 @@ mod tests {
         let sched = build(Collective::Allreduce, "recursive-doubling", 16, 0).unwrap();
         let w = Workload::for_schedule(&sched, 2);
         let expected = bine_exec::sequential::run_reference(&sched, w.initial_state(&sched));
+        let pool = ExecutorPool::new(2);
         let finals = service
-            .execute(
+            .try_execute_on(
+                &pool,
                 "Testbox",
                 Collective::Allreduce,
                 16,
                 32,
                 w.initial_state(&sched),
             )
-            .unwrap();
+            .expect("query resolves")
+            .expect("no job panics");
         assert_eq!(finals, expected);
     }
 }

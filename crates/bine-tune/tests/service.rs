@@ -665,3 +665,50 @@ proptest! {
             .all(|&len| len <= capacity));
     }
 }
+
+/// An off-grid rank count can floor onto a pick that is not buildable
+/// there: LUMI's grid starts at 16 nodes, so a 12-node 1 MiB allreduce
+/// resolves to the 16-node `bine-large+seg4`, which — like its binomial
+/// fallback — is defined on power-of-two communicators only. Both the
+/// service and the serial selector must answer `None` (deterministic,
+/// never retried, never degraded) instead of panicking, and the service
+/// must keep serving on-grid queries from a closed breaker.
+#[test]
+fn off_grid_rank_counts_answer_none_without_retries_or_fallbacks() {
+    let service = ServiceSelector::load_default().expect("committed tables");
+    let sys = service.resolve_system("LUMI").expect("LUMI table");
+    for _ in 0..2 {
+        assert!(service
+            .compiled_at(sys, Collective::Allreduce, 12, 1 << 20)
+            .is_none());
+    }
+    assert_eq!(
+        service.retries(),
+        0,
+        "a deterministic None is never retried"
+    );
+    assert_eq!(
+        service.fallbacks(),
+        0,
+        "a deterministic None never degrades"
+    );
+
+    let on_grid = service
+        .compiled_at(sys, Collective::Allreduce, 16, 1 << 20)
+        .expect("on-grid pick builds");
+    let pick = service
+        .choose_at(sys, Collective::Allreduce, 16, 1 << 20)
+        .expect("on-grid pick");
+    assert_eq!(
+        on_grid.algorithm,
+        bine_tune::tuned_name(pick.algorithm, pick.segments)
+    );
+    assert_eq!(on_grid.num_ranks, 16);
+    assert_eq!(service.fallbacks(), 0, "the tuned pick, not the fallback");
+    assert_eq!(service.retries(), 0);
+
+    let mut serial = Selector::load("LUMI").expect("LUMI table");
+    assert!(serial
+        .compiled(Collective::Allreduce, 12, 1 << 20)
+        .is_none());
+}
